@@ -125,16 +125,23 @@ int main(int argc, char** argv) {
                  serial_report.fd_stats.num_components);
     return 1;
   }
-  json.AddFromStats(
-      "fd_skew_giant_serial", 1, serial_run,
-      {{"enum_s", serial_enum},
-       {"output_tuples", static_cast<double>(reference.tuples.size())},
-       {"search_nodes",
-        static_cast<double>(serial_report.fd_stats.search_nodes)}});
-  std::printf("serial: enum %.3f s, %zu tuples, %llu nodes\n", serial_enum,
-              reference.tuples.size(),
-              static_cast<unsigned long long>(
-                  serial_report.fd_stats.search_nodes));
+  std::vector<std::pair<std::string, double>> serial_extras = {
+      {"enum_s", serial_enum},
+      {"output_tuples", static_cast<double>(reference.tuples.size())},
+      {"search_nodes",
+       static_cast<double>(serial_report.fd_stats.search_nodes)}};
+  for (const FdKernelCounter& k : kFdKernelCounters) {
+    serial_extras.emplace_back(
+        k.extra_key, static_cast<double>(serial_report.fd_stats.*k.field));
+  }
+  json.AddFromStats("fd_skew_giant_serial", 1, serial_run,
+                    std::move(serial_extras));
+  std::printf(
+      "serial: enum %.3f s, %zu tuples, %llu nodes, %llu posting visits\n",
+      serial_enum, reference.tuples.size(),
+      static_cast<unsigned long long>(serial_report.fd_stats.search_nodes),
+      static_cast<unsigned long long>(
+          serial_report.fd_stats.posting_visits));
 
   for (const std::string& part : Split(sweep, ',')) {
     size_t t = 0;

@@ -26,6 +26,7 @@
 #include "embedding/model_zoo.h"
 #include "fd/aligned_schema.h"
 #include "metrics/report.h"
+#include "obs/stats_export.h"
 #include "util/flags.h"
 #include "util/str.h"
 
@@ -43,6 +44,12 @@ void AppendFdStageExtras(std::vector<std::pair<std::string, double>>* extra,
                       static_cast<double>(report.fd_stats.posting_lists));
   extra->emplace_back("distinct_values",
                       static_cast<double>(report.fd_stats.distinct_values));
+  extra->emplace_back("search_nodes",
+                      static_cast<double>(report.fd_stats.search_nodes));
+  for (const FdKernelCounter& k : kFdKernelCounters) {
+    extra->emplace_back(k.extra_key,
+                        static_cast<double>(report.fd_stats.*k.field));
+  }
 }
 
 }  // namespace

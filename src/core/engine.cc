@@ -6,6 +6,7 @@
 
 #include "assignment/parallel_cost.h"
 #include "match/schema_matcher.h"
+#include "obs/stats_export.h"
 #include "util/rss.h"
 #include "util/stopwatch.h"
 #include "util/str.h"
@@ -107,6 +108,12 @@ LakeEngine::LakeEngine(EngineOptions options,
     em->fd_task_busy_ns = registry->GetCounter(
         "lakefuzz_fd_task_busy_ns_total",
         "FD subtree-task busy time (FdTaskProfile::busy_ns)");
+    em->fd_kernel.clear();
+    bool kernel_ok = true;
+    for (const FdKernelCounter& k : kFdKernelCounters) {
+      em->fd_kernel.push_back(registry->GetCounter(k.metric_name, k.help));
+      kernel_ok = kernel_ok && em->fd_kernel.back() != nullptr;
+    }
     em->values_rewritten = registry->GetCounter(
         "lakefuzz_values_rewritten_total",
         "cell values rewritten to fuzzy-group representatives");
@@ -128,7 +135,7 @@ LakeEngine::LakeEngine(EngineOptions options,
            em->fd_search_nodes != nullptr &&
            em->fd_result_tuples != nullptr &&
            em->fd_intra_tasks != nullptr &&
-           em->fd_task_busy_ns != nullptr &&
+           em->fd_task_busy_ns != nullptr && kernel_ok &&
            em->values_rewritten != nullptr &&
            em->discovery_queries != nullptr && em->request_ns != nullptr &&
            em->align_ns != nullptr && em->match_ns != nullptr &&
@@ -511,6 +518,9 @@ void LakeEngine::RecordRequest(const char* mode, uint64_t request_id,
     em_.fd_result_tuples->Add(report->fd_stats.results);
     em_.fd_intra_tasks->Add(report->fd_stats.intra_tasks);
     em_.fd_task_busy_ns->Add(report->fd_stats.task_profile.busy_ns);
+    for (size_t i = 0; i < em_.fd_kernel.size(); ++i) {
+      em_.fd_kernel[i]->Add(report->fd_stats.*kFdKernelCounters[i].field);
+    }
     em_.values_rewritten->Add(report->values_rewritten);
   }
   const double total_ms = total_seconds * 1e3;

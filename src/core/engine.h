@@ -497,6 +497,8 @@ class LakeEngine {
     Counter* fd_result_tuples = nullptr;
     Counter* fd_intra_tasks = nullptr;
     Counter* fd_task_busy_ns = nullptr;
+    /// One per kFdKernelCounters entry (obs/stats_export.h), same order.
+    std::vector<Counter*> fd_kernel;
     Counter* values_rewritten = nullptr;
     Counter* discovery_queries = nullptr;
     Histogram* request_ns = nullptr;

@@ -143,8 +143,11 @@ class ComponentEnumerator {
   /// amortized permission for 1024 nodes each; the unused remainder is
   /// refunded (or the never-drawn tail charged) when the enumeration unit
   /// finishes. Keeps many small subtree tasks — which rarely hit a block
-  /// boundary of their own — collectively accountable to one budget.
-  void SettleBudget() {
+  /// boundary of their own — collectively accountable to one budget. The
+  /// unit's kernel counters are handed to the scratch here too, once.
+  void Settle() {
+    s_.posting_visits += posting_visits_;
+    s_.selective_seeds += selective_seeds_;
     if (budget_ == nullptr) return;
     const int64_t drawn = static_cast<int64_t>(blocks_drawn_) * 1024;
     budget_->fetch_sub(static_cast<int64_t>(nodes_used_) - drawn,
@@ -175,7 +178,7 @@ class ComponentEnumerator {
       // consistent extension (components are already sorted).
       Status st = Extend(component_.data(), component_.size());
       ClearEntryExclusions();
-      SettleBudget();
+      Settle();
       if (!st.ok()) return st;
       return std::move(segments_);
     }
@@ -223,7 +226,7 @@ class ComponentEnumerator {
       Undo(task.includes[k], flips[k].data(), flips[k].size());
     }
     ClearEntryExclusions();
-    SettleBudget();
+    Settle();
     if (!st.ok()) return st;
     return std::move(segments_);
   }
@@ -290,18 +293,40 @@ class ComponentEnumerator {
     std::fill(s_.merged.begin(), s_.merged.end(), FdProblem::kNullCode);
   }
 
-  bool ConsistentWithMerged(uint32_t tid) const {
+  /// Columns on which `tid` and the merged row are both non-null (and then
+  /// equal), or -1 when they differ on one: join-inconsistent.
+  int SharedWithMerged(uint32_t tid) const {
     const uint32_t* row = problem_.CodeRow(tid);
     const uint32_t* merged = s_.merged.data();
+    int shared = 0;
     for (size_t c = 0; c < num_cols_; ++c) {
       const uint32_t rc = row[c];
       if (rc == FdProblem::kNullCode ||
           merged[c] == FdProblem::kNullCode) {
         continue;
       }
-      if (merged[c] != rc) return false;
+      if (merged[c] != rc) return -1;
+      ++shared;
     }
-    return true;
+    return shared;
+  }
+
+  bool ConsistentWithMerged(uint32_t tid) const {
+    return SharedWithMerged(tid) >= 0;
+  }
+
+  /// Appends each tuple of `tids` not yet stamped this epoch that extends S
+  /// (not in S, table unused, consistent), stamping every one it looks at.
+  template <typename Out>
+  void CollectNew(FdProblem::IdRange tids, Out* out) {
+    for (uint32_t nb : tids) {
+      if (s_.in_set[nb] || s_.seen_stamp[nb] == s_.epoch) continue;
+      s_.seen_stamp[nb] = s_.epoch;
+      // One tuple per relation: a tuple whose table is already represented
+      // can never extend S (neither now nor in any superset of S).
+      if (s_.table_used[problem_.table_id(nb)]) continue;
+      if (ConsistentWithMerged(nb)) out->push_back(nb);
+    }
   }
 
   /// The arena backing per-node temporaries, or null when disabled (the
@@ -339,21 +364,78 @@ class ComponentEnumerator {
     members_.pop_back();
   }
 
-  /// Extension set of the seed set S = {v}: v's join-graph neighbors,
-  /// filtered. The root's `ext` (all component members) is *not* neighbor-
-  /// derived, so it must not be carried over — connectivity starts here.
+  /// The tuples of v's posting `p` a scan must look at: all of them, or
+  /// none when `p` is single-table — it then holds only v's own table,
+  /// which S already uses.
+  FdProblem::IdRange Candidates(uint32_t p) const {
+    return problem_.PostingCrossesTables(p) ? problem_.Posting(p)
+                                            : FdProblem::IdRange();
+  }
+
+  /// Extension set of the seed set S = {v}, sorted: every tuple u of
+  /// another table that agrees with v wherever both are non-null and shares
+  /// at least one non-null value with it (adjacency). The root's `ext` (all
+  /// component members) is *not* neighbor-derived, so it must not be
+  /// carried over — connectivity starts here.
+  ///
+  /// Seed cost rule. Such a u agrees with v on every non-null column c of v,
+  /// so u ∈ posting(c, v[c]) ∪ nulls(c) for each of them. Two scans find the
+  /// set: streaming all of v's postings (Σ |posting| visits, deduplicated by
+  /// epoch stamp, then sorted), or scanning the one column minimizing
+  /// |posting(c, v[c])| + |nulls(c)| (a merge of two ascending lists, so no
+  /// sort; null-list tuples also need the shared-value check). The cheaper
+  /// by those index sizes runs; ties stream. A hub value every tuple shares
+  /// makes the stream O(n) per seed while a selective key column stays
+  /// small; long null lists (null-padded outer-union columns) tip it the
+  /// other way. Single-table postings count as empty in both (Candidates).
   template <typename Vec>
   void SeedExtensions(uint32_t v, Vec* child) {
-    ++s_.epoch;
-    problem_.ForEachCoPosted(v, [&](uint32_t nb) {
-      if (s_.in_set[nb]) return;
-      if (s_.seen_stamp[nb] == s_.epoch) return;
-      s_.seen_stamp[nb] = s_.epoch;
-      if (s_.table_used[problem_.table_id(nb)]) return;
-      if (!ConsistentWithMerged(nb)) return;
-      child->push_back(nb);
-    });
-    std::sort(child->begin(), child->end());
+    const uint32_t* row = problem_.CodeRow(v);
+    const FdProblem::IdRange postings = problem_.PostingsOf(v);
+    size_t stream_cost = 0;
+    for (uint32_t p : postings) stream_cost += Candidates(p).size();
+    // v's postings are in ascending column order and cover a subset of its
+    // non-null columns (a value unique to v has no posting), so one pass
+    // pairs each non-null column with its posting.
+    size_t best_cost = stream_cost;
+    size_t best_col = num_cols_;
+    FdProblem::IdRange best_on;
+    const uint32_t* pp = postings.begin();
+    for (size_t c = 0; c < num_cols_; ++c) {
+      if (row[c] == FdProblem::kNullCode) continue;
+      FdProblem::IdRange on;
+      if (pp != postings.end() && problem_.PostingColumn(*pp) == c) {
+        on = Candidates(*pp++);
+      }
+      const size_t cost = on.size() + problem_.NullsOn(c).size();
+      if (cost < best_cost) {
+        best_cost = cost;
+        best_col = c;
+        best_on = on;
+      }
+    }
+    posting_visits_ += best_cost;
+    if (best_col == num_cols_) {
+      ++s_.epoch;
+      for (uint32_t p : postings) CollectNew(Candidates(p), child);
+      std::sort(child->begin(), child->end());
+      return;
+    }
+    ++selective_seeds_;
+    // posting(c, v[c]) and nulls(c) are disjoint and ascending: merge them.
+    const FdProblem::IdRange off = problem_.NullsOn(best_col);
+    const uint32_t* a = best_on.begin();
+    const uint32_t* b = off.begin();
+    while (a != best_on.end() || b != off.end()) {
+      const bool on = b == off.end() || (a != best_on.end() && *a < *b);
+      const uint32_t u = on ? *a++ : *b++;
+      if (s_.in_set[u] || s_.table_used[problem_.table_id(u)]) continue;
+      // With S = {v} the merged row is v's row: a null-list tuple must
+      // also share a value with v to be adjacent.
+      if (SharedWithMerged(u) >= (on ? 0 : 1)) {
+        child->push_back(u);
+      }
+    }
   }
 
   /// Extension set after including `v` into S (|S| ≥ 1), derived
@@ -363,13 +445,18 @@ class ComponentEnumerator {
   /// as S grows, so
   ///   ext(S ∪ {v}) = {u ∈ ext(S) : table(u) ≠ table(v), u agrees with v's
   ///                   newly `flipped` columns}
-  ///                ∪ {u ∈ N(v) \ ext(S) : full table + consistency check}.
-  /// A neighbor of an earlier member that failed its check once can never
-  /// pass later, so re-testing only v's neighbors loses nothing. This
-  /// replaces the former per-node rescan of *every* member's posting lists
-  /// (the superlinear term on hub-heavy join graphs) with O(|ext| · |flipped|
-  /// + deg(v)). The final sort keeps exploration order — and therefore
-  /// results — identical to the materialized-adjacency implementation.
+  ///                ∪ {u ∈ N_flipped(v) \ ext(S) : table + consistency}.
+  /// Flipped-column invariant: N_flipped(v) is v's postings on the columns
+  /// v newly flipped, not all of them. Every other non-null column c of v
+  /// already carries v[c] in the merged row, contributed by an earlier
+  /// member m with m[c] = v[c]; a tuple on posting(c, v[c]) is adjacent to
+  /// m, so if it extends S ∪ {v} it also extends S and is in ext(S)
+  /// already. A tuple that failed its check once never passes later, so
+  /// nothing is lost. Per node this costs O(|ext| · |flipped|) for the
+  /// filter plus the flipped postings — independent of a hub posting that
+  /// was classified when the hub column first flipped. The filtered parent
+  /// set stays sorted, so only the new neighbours are sorted and merged in,
+  /// keeping exploration order — and therefore results — unchanged.
   template <typename Vec>
   void ChildExtensions(const uint32_t* ext, size_t ext_size, uint32_t v,
                        const uint32_t* flipped, size_t num_flipped,
@@ -392,17 +479,36 @@ class ComponentEnumerator {
       }
       if (ok) child->push_back(u);
     }
-    problem_.ForEachCoPosted(v, [&](uint32_t nb) {
-      if (s_.in_set[nb]) return;
-      if (s_.seen_stamp[nb] == s_.epoch) return;
-      s_.seen_stamp[nb] = s_.epoch;
-      // One tuple per relation: a tuple whose table is already represented
-      // can never extend S (neither now nor in any superset of S).
-      if (s_.table_used[problem_.table_id(nb)]) return;
-      if (!ConsistentWithMerged(nb)) return;
-      child->push_back(nb);
-    });
-    std::sort(child->begin(), child->end());
+    // Both v's postings and `flipped` ascend by column: one merge pass.
+    std::vector<uint32_t>& fresh = s_.fresh;
+    fresh.clear();
+    const FdProblem::IdRange postings = problem_.PostingsOf(v);
+    const uint32_t* pp = postings.begin();
+    for (size_t k = 0; k < num_flipped && pp != postings.end(); ++k) {
+      while (pp != postings.end() && problem_.PostingColumn(*pp) < flipped[k]) {
+        ++pp;
+      }
+      if (pp == postings.end() || problem_.PostingColumn(*pp) != flipped[k]) {
+        continue;
+      }
+      const FdProblem::IdRange tids = Candidates(*pp++);
+      posting_visits_ += tids.size();
+      CollectNew(tids, &fresh);
+    }
+    if (fresh.empty()) return;
+    std::sort(fresh.begin(), fresh.end());
+    // Backward merge: grow child by |fresh|, then fill from the top.
+    size_t i = child->size();
+    for (uint32_t u : fresh) child->push_back(u);
+    size_t j = fresh.size();
+    size_t k = child->size();
+    while (j > 0) {
+      if (i > 0 && (*child)[i - 1] > fresh[j - 1]) {
+        (*child)[--k] = (*child)[--i];
+      } else {
+        (*child)[--k] = fresh[--j];
+      }
+    }
   }
 
   void EmitResult() {
@@ -616,6 +722,8 @@ class ComponentEnumerator {
   std::vector<ResultSegment> segments_;
   uint64_t nodes_used_ = 0;
   uint64_t blocks_drawn_ = 0;
+  uint64_t posting_visits_ = 0;   ///< see FdStats::posting_visits
+  uint64_t selective_seeds_ = 0;  ///< see FdStats::selective_seeds
   uint64_t replay_ns_ = 0;
 };
 
@@ -939,8 +1047,12 @@ Result<std::vector<FdCodeTuple>> FullDisjunction::RunCodes(
   enum_span.AddAttr("components", static_cast<int64_t>(components.size()));
   enum_span.AddAttr("search_nodes",
                     static_cast<int64_t>(stats->search_nodes));
+  enum_span.AddAttr("posting_visits",
+                    static_cast<int64_t>(scratch.posting_visits));
   enum_span.End();
   stats->enumeration_seconds = enum_watch.ElapsedSeconds();
+  stats->posting_visits = scratch.posting_visits;
+  stats->selective_seeds = scratch.selective_seeds;
   stats->arena_bytes_reserved = scratch.arena.bytes_reserved();
   stats->arena_peak_bytes = scratch.arena.peak_bytes();
   stats->peak_rss_bytes = PeakRssBytes();

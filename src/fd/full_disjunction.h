@@ -122,6 +122,14 @@ struct FdStats {
   size_t num_components = 0;
   size_t largest_component = 0;
   uint64_t search_nodes = 0;
+  /// Kernel counters that explain search_nodes' cost. posting_visits counts
+  /// the candidate tuples the extension-set builders streamed (seed and
+  /// child scans, subtree-task replays included); selective_seeds counts
+  /// the seeds whose extension set came from one column's posting ∪ null
+  /// list instead of streaming all their postings. Both depend on the data
+  /// and, through replays, on the split schedule; results never do.
+  uint64_t posting_visits = 0;
+  uint64_t selective_seeds = 0;
   /// Subtree tasks spawned by intra-component splitting (0 when every
   /// component ran serially). Scheduling-dependent; results never are.
   uint64_t intra_tasks = 0;
@@ -190,6 +198,13 @@ struct FdScratch {
   std::vector<uint64_t> seen_stamp;
   std::vector<char> table_used;
   uint64_t epoch = 0;
+  /// Reused buffer for the new neighbours a child scan finds (sorted, then
+  /// merged into the filtered parent extension set).
+  std::vector<uint32_t> fresh;
+  /// Kernel counters (FdStats::posting_visits / selective_seeds), added
+  /// once per finished component or subtree task; executors sum them.
+  uint64_t posting_visits = 0;
+  uint64_t selective_seeds = 0;
   /// Per-worker bump arena for the enumerator's per-node temporaries
   /// (extension sets, flipped-column lists): scope-framed alloc/rewind
   /// instead of one malloc/free pair per search node. Executors set

@@ -221,6 +221,8 @@ Result<std::vector<FdCodeTuple>> ParallelFullDisjunction::RunCodes(
   }
   stats->search_nodes = total_nodes.load();
   for (const FdScratch& s : scratches) {
+    stats->posting_visits += s.posting_visits;
+    stats->selective_seeds += s.selective_seeds;
     stats->arena_bytes_reserved += s.arena.bytes_reserved();
     stats->arena_peak_bytes += s.arena.peak_bytes();
   }
@@ -242,6 +244,8 @@ Result<std::vector<FdCodeTuple>> ParallelFullDisjunction::RunCodes(
   enum_span.AddAttr("components", static_cast<int64_t>(comps.size()));
   enum_span.AddAttr("search_nodes",
                     static_cast<int64_t>(stats->search_nodes));
+  enum_span.AddAttr("posting_visits",
+                    static_cast<int64_t>(stats->posting_visits));
   enum_span.End();
   stats->enumeration_seconds = enum_watch.ElapsedSeconds();
   ReportProgress(progress, Stage::kFdEnumerate, 1, 1);

@@ -97,7 +97,11 @@ Status FdProblem::AddTuple(uint32_t table_id, std::vector<Value> values) {
 std::vector<uint32_t> FdProblem::Neighbors(uint32_t tid) const {
   assert(index_built_);
   std::vector<uint32_t> out;
-  ForEachCoPosted(tid, [&out](uint32_t other) { out.push_back(other); });
+  for (uint32_t p : PostingsOf(tid)) {
+    for (uint32_t other : Posting(p)) {
+      if (other != tid) out.push_back(other);
+    }
+  }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
@@ -144,24 +148,35 @@ void FdProblem::BuildIndex(ThreadPool* pool) {
   }
 
   // ---- Phase 3: sharded posting maps over (column, code) integer keys
-  // (fd/posting_shards.h). Singleton lists are then dropped — they induce
-  // no join edges.
+  // (fd/posting_shards.h). The key → list-id map is inverted into each
+  // list's column before it is dropped; singleton lists are then dropped
+  // too — they induce no join edges.
   std::vector<PostingShard> shard = BuildPostingShards(
       pool, n, cols,
       [this, cols](uint32_t tid) {
         return codes_.data() + static_cast<size_t>(tid) * cols;
       });
   const size_t shards = shard.size();
+  std::vector<std::vector<uint32_t>> shard_columns(shards);
   MaybeParallelFor(pool, shards, [&](size_t s) {
     auto& lists = shard[s].lists;
+    auto& columns = shard_columns[s];
+    columns.resize(lists.size());
+    for (const auto& [key, id] : shard[s].index) {
+      columns[id] = static_cast<uint32_t>(key >> 32);
+    }
     shard[s].index.clear();
     size_t kept = 0;
     for (size_t i = 0; i < lists.size(); ++i) {
       if (lists[i].size() < 2) continue;
-      if (kept != i) lists[kept] = std::move(lists[i]);
+      if (kept != i) {
+        lists[kept] = std::move(lists[i]);
+        columns[kept] = columns[i];
+      }
       ++kept;
     }
     lists.resize(kept);
+    columns.resize(kept);
   });
 
   // ---- Phase 4: CSR posting arrays + union-find component merge. Shards
@@ -180,16 +195,24 @@ void FdProblem::BuildIndex(ThreadPool* pool) {
   posting_offsets_.assign(num_postings + 1, 0);
   posting_offsets_[num_postings] = num_entries;
   posting_tids_.assign(num_entries, 0);
+  posting_columns_.assign(num_postings, 0);
+  posting_cross_table_.assign(num_postings, 0);
 
   auto fill_shard = [&](size_t s, auto& union_find) {
     size_t p = posting_base[s];
     size_t e = entry_base[s];
+    std::copy(shard_columns[s].begin(), shard_columns[s].end(),
+              posting_columns_.begin() + p);
     for (const auto& lst : shard[s].lists) {
-      posting_offsets_[p++] = e;
+      const uint32_t first_table = table_ids_[lst[0]];
+      bool cross_table = false;
+      posting_offsets_[p] = e;
       for (size_t i = 0; i < lst.size(); ++i) {
         posting_tids_[e++] = lst[i];
+        cross_table |= table_ids_[lst[i]] != first_table;
         if (i > 0) union_find.Union(lst[0], lst[i]);
       }
+      posting_cross_table_[p++] = cross_table ? 1 : 0;
     }
   };
   std::vector<uint32_t> root(n);
@@ -203,20 +226,48 @@ void FdProblem::BuildIndex(ThreadPool* pool) {
     for (uint32_t i = 0; i < n; ++i) root[i] = uf.Find(i);
   }
   shard.clear();
+  shard_columns.clear();
 
   // ---- Phase 5: tuple → posting-list CSR (counting sort over the flat
-  // posting entries; deterministic and O(entries)).
+  // posting entries; deterministic and O(entries)). Postings are visited in
+  // ascending column order (a counting sort of posting ids by column), so
+  // every tuple's list comes out sorted by column.
   tuple_offsets_.assign(n + 1, 0);
   for (size_t e = 0; e < num_entries; ++e) {
     ++tuple_offsets_[posting_tids_[e] + 1];
   }
   for (size_t i = 0; i < n; ++i) tuple_offsets_[i + 1] += tuple_offsets_[i];
+  std::vector<uint32_t> column_start(cols + 1, 0);
+  for (uint32_t c : posting_columns_) ++column_start[c + 1];
+  for (size_t c = 0; c < cols; ++c) column_start[c + 1] += column_start[c];
+  std::vector<uint32_t> by_column(num_postings);
+  for (size_t p = 0; p < num_postings; ++p) {
+    by_column[column_start[posting_columns_[p]]++] = static_cast<uint32_t>(p);
+  }
   tuple_postings_.assign(num_entries, 0);
   std::vector<uint64_t> cursor(tuple_offsets_.begin(),
                                tuple_offsets_.end() - 1);
-  for (size_t p = 0; p < num_postings; ++p) {
+  for (uint32_t p : by_column) {
     for (uint64_t e = posting_offsets_[p]; e < posting_offsets_[p + 1]; ++e) {
-      tuple_postings_[cursor[posting_tids_[e]]++] = static_cast<uint32_t>(p);
+      tuple_postings_[cursor[posting_tids_[e]]++] = p;
+    }
+  }
+
+  // ---- Phase 5b: column → null-TID CSR, TIDs ascending per column.
+  null_offsets_.assign(cols + 1, 0);
+  for (uint32_t tid = 0; tid < n; ++tid) {
+    const uint32_t* row = codes_.data() + static_cast<size_t>(tid) * cols;
+    for (size_t c = 0; c < cols; ++c) {
+      if (row[c] == kNullCode) ++null_offsets_[c + 1];
+    }
+  }
+  for (size_t c = 0; c < cols; ++c) null_offsets_[c + 1] += null_offsets_[c];
+  null_tids_.assign(null_offsets_[cols], 0);
+  cursor.assign(null_offsets_.begin(), null_offsets_.end() - 1);
+  for (uint32_t tid = 0; tid < n; ++tid) {
+    const uint32_t* row = codes_.data() + static_cast<size_t>(tid) * cols;
+    for (size_t c = 0; c < cols; ++c) {
+      if (row[c] == kNullCode) null_tids_[cursor[c]++] = tid;
     }
   }
 

@@ -9,6 +9,12 @@
 // a posting list of k tuples represents its k·(k−1) adjacency edges in O(k)
 // space — no materialized all-pairs edge lists. Connected components of the
 // graph partition the FD computation.
+//
+// Every posting list remembers its column, each tuple lists its postings in
+// ascending column order, and a second CSR holds, per column, the tuples
+// that are null there. Together they answer "v's posting on column c" and
+// "who could still agree with v on c" (posting(c, v[c]) ∪ nulls(c)) without
+// a scan — the two lookups the FD enumerator's extension-set builders use.
 #ifndef LAKEFUZZ_FD_PROBLEM_H_
 #define LAKEFUZZ_FD_PROBLEM_H_
 
@@ -118,22 +124,48 @@ class FdProblem {
   /// BuildIndex().
   std::vector<uint32_t> Neighbors(uint32_t tid) const;
 
-  /// Streams the co-posted tuples of `tid` (every tuple sharing a posting
-  /// list with it, excluding `tid`). A tuple sharing several values with
-  /// `tid` is visited once per shared posting list — callers dedup, which
-  /// the FD enumerator does with epoch stamps anyway. This is the zero-
-  /// allocation hot-path form of Neighbors(). Requires BuildIndex().
-  template <typename F>
-  void ForEachCoPosted(uint32_t tid, F&& fn) const {
+  /// Ascending run of uint32 ids (TIDs or posting ids) inside an index
+  /// array; valid while the problem is alive and its index unchanged.
+  struct IdRange {
+    const uint32_t* first = nullptr;
+    const uint32_t* last = nullptr;
+    const uint32_t* begin() const { return first; }
+    const uint32_t* end() const { return last; }
+    size_t size() const { return static_cast<size_t>(last - first); }
+  };
+
+  /// Posting lists containing `tid` (at most one per column — a tuple has
+  /// one value per column), in ascending PostingColumn order. Requires
+  /// BuildIndex().
+  IdRange PostingsOf(uint32_t tid) const {
     assert(index_built_);
-    for (uint64_t k = tuple_offsets_[tid]; k < tuple_offsets_[tid + 1]; ++k) {
-      const uint32_t p = tuple_postings_[k];
-      for (uint64_t e = posting_offsets_[p]; e < posting_offsets_[p + 1];
-           ++e) {
-        const uint32_t other = posting_tids_[e];
-        if (other != tid) fn(other);
-      }
-    }
+    const uint32_t* base = tuple_postings_.data();
+    return {base + tuple_offsets_[tid], base + tuple_offsets_[tid + 1]};
+  }
+
+  /// TIDs of posting list `p`, ascending. Requires BuildIndex().
+  IdRange Posting(uint32_t p) const {
+    assert(index_built_);
+    const uint32_t* base = posting_tids_.data();
+    return {base + posting_offsets_[p], base + posting_offsets_[p + 1]};
+  }
+
+  /// Universal column whose (column, code) key posting list `p` indexes.
+  uint32_t PostingColumn(uint32_t p) const { return posting_columns_[p]; }
+
+  /// True when posting list `p` holds tuples of at least two tables. A
+  /// single-table posting is a join-graph edge set like any other, but its
+  /// tuples can never share an FD set (one tuple per relation), so the
+  /// enumerator's scans skip it.
+  bool PostingCrossesTables(uint32_t p) const {
+    return posting_cross_table_[p] != 0;
+  }
+
+  /// TIDs null on column `col`, ascending. Requires BuildIndex().
+  IdRange NullsOn(size_t col) const {
+    assert(index_built_);
+    const uint32_t* base = null_tids_.data();
+    return {base + null_offsets_[col], base + null_offsets_[col + 1]};
   }
 
   /// Connected components of the join graph, each a sorted TID list, ordered
@@ -166,11 +198,18 @@ class FdProblem {
   // induce no edges). posting_offsets_ has one extra trailing entry; the
   // TIDs of posting p are posting_tids_[posting_offsets_[p] ..
   // posting_offsets_[p+1]). tuple_offsets_/tuple_postings_ map each TID to
-  // the posting lists containing it.
+  // the posting lists containing it, in ascending column order.
+  // posting_columns_[p] is the column of posting p and posting_cross_table_[p]
+  // whether it spans two or more tables. null_offsets_/null_tids_
+  // are the same CSR shape per column: the ascending TIDs null on it.
   std::vector<uint64_t> posting_offsets_;
   std::vector<uint32_t> posting_tids_;
+  std::vector<uint32_t> posting_columns_;
+  std::vector<uint8_t> posting_cross_table_;
   std::vector<uint64_t> tuple_offsets_;
   std::vector<uint32_t> tuple_postings_;
+  std::vector<uint64_t> null_offsets_;
+  std::vector<uint32_t> null_tids_;
 
   std::vector<std::vector<uint32_t>> components_;
   FdIndexStats index_stats_;

@@ -13,7 +13,7 @@ std::vector<std::pair<std::string, double>> FdExecutionExtras(
   const FdTaskProfile& prof = stats.task_profile;
   const double tasks_d =
       prof.tasks > 0 ? static_cast<double>(prof.tasks) : 1.0;
-  return {
+  std::vector<std::pair<std::string, double>> out = {
       {"intra_tasks", static_cast<double>(stats.intra_tasks)},
       {"merge_s", stats.merge_seconds},
       {"task_nodes_mean", static_cast<double>(prof.nodes_sum) / tasks_d},
@@ -28,6 +28,10 @@ std::vector<std::pair<std::string, double>> FdExecutionExtras(
       {"arena_peak_bytes", static_cast<double>(stats.arena_peak_bytes)},
       {"peak_rss_mb", PeakRssMb()},
   };
+  for (const FdKernelCounter& k : kFdKernelCounters) {
+    out.emplace_back(k.extra_key, static_cast<double>(stats.*k.field));
+  }
+  return out;
 }
 
 }  // namespace lakefuzz

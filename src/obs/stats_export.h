@@ -13,6 +13,7 @@
 #ifndef LAKEFUZZ_OBS_STATS_EXPORT_H_
 #define LAKEFUZZ_OBS_STATS_EXPORT_H_
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +21,25 @@
 #include "fd/full_disjunction.h"
 
 namespace lakefuzz {
+
+/// One FD kernel counter: the FdStats field, its bench `extra` key, and its
+/// engine metric. Bench artifacts and /metrics both read this table, so the
+/// two names cannot drift apart.
+struct FdKernelCounter {
+  const char* extra_key;    ///< key in FdExecutionExtras / bench JSON
+  const char* metric_name;  ///< Prometheus counter (summed per request)
+  const char* help;
+  uint64_t FdStats::*field;
+};
+
+inline constexpr FdKernelCounter kFdKernelCounters[] = {
+    {"posting_visits", "lakefuzz_fd_posting_visits_total",
+     "candidate tuples streamed by the FD extension-set scans",
+     &FdStats::posting_visits},
+    {"selective_seeds", "lakefuzz_fd_selective_seeds_total",
+     "FD seeds scanned through one column's posting and null list",
+     &FdStats::selective_seeds},
+};
 
 /// Process peak RSS in MiB — the one rounding rule every artifact uses
 /// (wraps util/rss.h's PeakRssBytes()).
@@ -29,7 +49,7 @@ double PeakRssMb();
 /// BenchJsonWriter::AddFromStats `extra` (or any other flat export):
 /// task-grain evidence (mean/min/max nodes per subtree task, busy vs.
 /// dequeue-wait vs. replay time), pool-level busy vs. wall, merge cost,
-/// arena peak, and process peak RSS.
+/// arena peak, process peak RSS, and the kFdKernelCounters.
 std::vector<std::pair<std::string, double>> FdExecutionExtras(
     const FdStats& stats);
 

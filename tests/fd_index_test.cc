@@ -150,6 +150,55 @@ std::vector<std::vector<uint32_t>> BruteComponents(
   return comps;
 }
 
+/// Checks the enumerator's column lookups against the code rows, for every
+/// `stride`-th tuple: its postings lie on distinct ascending columns, one
+/// for each non-null column whose code another tuple shares, and each holds
+/// exactly the tuples with that code there; the cross-table flag matches
+/// the posting's tables; NullsOn(c) is exactly the tuples null on c.
+void ExpectColumnLookupsMatchRows(const FdProblem& problem,
+                                  uint32_t stride = 1) {
+  const uint32_t n = static_cast<uint32_t>(problem.num_tuples());
+  for (uint32_t tid = 0; tid < n; tid += stride) {
+    std::vector<uint32_t> want_cols;
+    std::vector<std::vector<uint32_t>> want_lists;
+    for (uint32_t c = 0; c < problem.num_columns(); ++c) {
+      const uint32_t code = problem.CodeRow(tid)[c];
+      if (code == FdProblem::kNullCode) continue;
+      std::vector<uint32_t> same;
+      for (uint32_t u = 0; u < n; ++u) {
+        if (problem.CodeRow(u)[c] == code) same.push_back(u);
+      }
+      if (same.size() < 2) continue;
+      want_cols.push_back(c);
+      want_lists.push_back(std::move(same));
+    }
+    std::vector<uint32_t> got_cols;
+    size_t i = 0;
+    for (uint32_t p : problem.PostingsOf(tid)) {
+      got_cols.push_back(problem.PostingColumn(p));
+      const std::vector<uint32_t> got(problem.Posting(p).begin(),
+                                      problem.Posting(p).end());
+      bool cross = false;
+      for (uint32_t u : got) {
+        cross |= problem.table_id(u) != problem.table_id(got[0]);
+      }
+      EXPECT_EQ(problem.PostingCrossesTables(p), cross) << tid;
+      if (i < want_lists.size()) EXPECT_EQ(got, want_lists[i]) << tid;
+      ++i;
+    }
+    EXPECT_EQ(got_cols, want_cols) << tid;
+  }
+  for (size_t c = 0; c < problem.num_columns(); ++c) {
+    std::vector<uint32_t> want;
+    for (uint32_t u = 0; u < n; ++u) {
+      if (problem.CodeRow(u)[c] == FdProblem::kNullCode) want.push_back(u);
+    }
+    const std::vector<uint32_t> got(problem.NullsOn(c).begin(),
+                                    problem.NullsOn(c).end());
+    EXPECT_EQ(got, want) << "column " << c;
+  }
+}
+
 class CsrIndexProperty : public ::testing::TestWithParam<IndexShape> {};
 
 TEST_P(CsrIndexProperty, NeighborsAndComponentsMatchBruteForce) {
@@ -163,6 +212,7 @@ TEST_P(CsrIndexProperty, NeighborsAndComponentsMatchBruteForce) {
           << "trial " << trial << " tid " << tid;
     }
     EXPECT_EQ(problem.Components(), BruteComponents(brute)) << trial;
+    ExpectColumnLookupsMatchRows(problem);
   }
 }
 
@@ -247,6 +297,9 @@ TEST(CsrIndexShardedTest, LargeProblemParallelBuildMatchesSerial) {
                              kCols * sizeof(uint32_t)))
         << tid;
   }
+  // The per-shard column inversion and cross-table flags must survive the
+  // sharded fill: check the pooled build's lookups against its rows.
+  ExpectColumnLookupsMatchRows(parallel, /*stride=*/997);
 }
 
 TEST(CsrIndexShardedTest, LargeSubsumptionShardedMatchesSerial) {

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "core/fuzzy_fd.h"
+#include "datagen/corruption.h"
 #include "fd/full_disjunction.h"
 #include "fd/parallel.h"
 #include "fd/problem.h"
@@ -284,6 +285,72 @@ TEST(IntraComponentTest, BudgetExhaustionPropagatesFromSubtrees) {
   auto result = ParallelFullDisjunction(opts).RunCodes(&*problem, &stats);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kFailedPrecondition);
+}
+
+// ------------------------------------------------ kernel complexity
+
+/// bench_fd_skew's shape at small scale: GiantComponentTables plus a
+/// seeded 15% typo rate on key cells, so some keys are unique.
+std::vector<Table> SkewLakeTables(size_t num_tables, size_t num_keys,
+                                  size_t rows_per_key) {
+  Rng rng(20260730);
+  CorruptionConfig config;
+  config.typo = 1.0;
+  std::vector<Table> tables;
+  for (size_t l = 0; l < num_tables; ++l) {
+    Table t("t" + std::to_string(l),
+            Schema::FromNames({"key", "hub", "p" + std::to_string(l)}));
+    for (size_t k = 0; k < num_keys; ++k) {
+      for (size_t r = 0; r < rows_per_key; ++r) {
+        std::string key = StrFormat("key_%05zu", k);
+        if (rng.Bernoulli(0.15)) key = Corrupt(&rng, key, config);
+        EXPECT_TRUE(t.AppendRow({S(key), S("hub"),
+                                 S(StrFormat("v%zu_%zu_%zu", l, k, r))})
+                        .ok());
+      }
+    }
+    tables.push_back(std::move(t));
+  }
+  return tables;
+}
+
+TEST(KernelComplexityTest, HubPostingIsNotStreamedAtEveryNode) {
+  // Every tuple shares the hub value, so its posting holds all n tuples. A
+  // kernel that streams it at every seed pays ~n² posting visits; the
+  // cost-chosen seed scan and the flipped-column child scan must keep
+  // visits linear in search nodes + index size at every thread count.
+  constexpr uint64_t kVisitsPerUnit = 2;
+  auto tables = SkewLakeTables(4, 100, 2);
+  auto problem = BuildGiant(tables);
+  ASSERT_TRUE(problem.ok());
+  FdProblem serial_problem = *problem;
+  FdStats serial_stats;
+  auto serial = FullDisjunction().RunCodes(&serial_problem, &serial_stats);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_EQ(serial_stats.num_components, 1u);
+  EXPECT_GT(serial_stats.selective_seeds, 0u);
+
+  for (size_t threads : {1u, 2u, 8u}) {
+    FdProblem p = *problem;
+    ParallelFdOptions opts;
+    opts.num_threads = threads;
+    FdStats stats;
+    auto parallel = ParallelFullDisjunction(opts).RunCodes(&p, &stats);
+    ASSERT_TRUE(parallel.ok()) << threads;
+    ASSERT_EQ(parallel->size(), serial->size()) << threads;
+    for (size_t i = 0; i < serial->size(); ++i) {
+      ASSERT_EQ((*parallel)[i].codes, (*serial)[i].codes) << threads;
+      ASSERT_EQ((*parallel)[i].tids, (*serial)[i].tids) << threads;
+    }
+    EXPECT_EQ(stats.search_nodes, serial_stats.search_nodes) << threads;
+    for (const FdStats* st : {&serial_stats, &stats}) {
+      EXPECT_LE(st->posting_visits,
+                kVisitsPerUnit * (st->search_nodes + st->posting_entries))
+          << "threads " << threads << ": " << st->posting_visits
+          << " visits, " << st->search_nodes << " nodes, "
+          << st->posting_entries << " posting entries";
+    }
+  }
 }
 
 // ------------------------------------------------- zero-copy interning

@@ -10,6 +10,7 @@
 #include "fd/oracle.h"
 #include "fd/parallel.h"
 #include "fd/problem.h"
+#include "fd/session_dict.h"
 #include "fd/subsumption.h"
 #include "util/rng.h"
 
@@ -372,49 +373,129 @@ struct OracleCase {
   size_t num_columns;
   size_t value_domain;  ///< small domain → dense join graph, conflicts
   uint64_t seed;
+  /// Hub shape instead of num_columns random columns: every table has a
+  /// constant `hub` column, a selective `key` (~30% null, value_domain
+  /// keys), a shared `v` and a private `p<l>` column (null-padded in every
+  /// other table). One component; reaches both seed scans of the kernel.
+  bool hub = false;
 };
 
 class FdOracleProperty : public ::testing::TestWithParam<OracleCase> {};
 
-FdProblem RandomProblem(const OracleCase& oc, Rng* rng) {
-  std::vector<std::string> names;
-  for (size_t c = 0; c < oc.num_columns; ++c) {
-    names.push_back("c" + std::to_string(c));
-  }
-  FdProblem problem(oc.num_columns, names);
+/// One random instance as source tables, so every problem builder can be
+/// fed: plain shapes give each table all columns c0..; hub shapes are
+/// described on OracleCase::hub.
+std::vector<Table> RandomTables(const OracleCase& oc, Rng* rng) {
+  auto letter = [rng](size_t domain) {
+    return Value::String(
+        std::string(1, static_cast<char>('a' + rng->Uniform(domain))));
+  };
+  std::vector<Table> tables;
   for (size_t l = 0; l < oc.num_tables; ++l) {
-    for (size_t r = 0; r < oc.rows_per_table; ++r) {
-      std::vector<Value> vals(oc.num_columns);
+    std::vector<std::string> names;
+    if (oc.hub) {
+      names = {"key", "hub", "v", "p" + std::to_string(l)};
+    } else {
       for (size_t c = 0; c < oc.num_columns; ++c) {
-        if (rng->Bernoulli(0.35)) continue;  // null
-        vals[c] = Value::String(
-            std::string(1, static_cast<char>('a' + rng->Uniform(oc.value_domain))));
+        names.push_back("c" + std::to_string(c));
       }
-      EXPECT_TRUE(
-          problem.AddTuple(static_cast<uint32_t>(l), std::move(vals)).ok());
     }
+    Table t("t" + std::to_string(l), Schema::FromNames(names));
+    for (size_t r = 0; r < oc.rows_per_table; ++r) {
+      std::vector<Value> vals(names.size());
+      if (oc.hub) {
+        if (!rng->Bernoulli(0.3)) vals[0] = letter(oc.value_domain);
+        vals[1] = S("hub");
+        if (!rng->Bernoulli(0.35)) vals[2] = letter(2);
+        if (!rng->Bernoulli(0.35)) vals[3] = letter(2);
+      } else {
+        for (auto& v : vals) {
+          if (!rng->Bernoulli(0.35)) v = letter(oc.value_domain);
+        }
+      }
+      EXPECT_TRUE(t.AppendRow(std::move(vals)).ok());
+    }
+    tables.push_back(std::move(t));
   }
-  return problem;
+  return tables;
 }
 
-TEST_P(FdOracleProperty, ProductionMatchesOracle) {
+/// RandomTables outer-unioned through the padded-row build.
+FdProblem RandomProblem(const OracleCase& oc, Rng* rng) {
+  auto tables = RandomTables(oc, rng);
+  auto aligned = AlignByName(tables);
+  EXPECT_TRUE(aligned.ok());
+  auto problem = FdProblem::Build(tables, *aligned);
+  EXPECT_TRUE(problem.ok());
+  return std::move(problem).value();
+}
+
+void ExpectMatchesOracle(const Result<FdResult>& got,
+                         const std::vector<FdResultTuple>& oracle,
+                         const std::string& label) {
+  ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+  ASSERT_EQ(got->tuples.size(), oracle.size()) << label;
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_EQ(got->tuples[i].values, oracle[i].values) << label << " #" << i;
+    EXPECT_EQ(got->tuples[i].tids, oracle[i].tids) << label << " #" << i;
+  }
+}
+
+/// Runs one instance through every executor configuration and compares
+/// each with the brute-force oracle (never with another configuration):
+/// serial over the padded-row build, serial over BuildInterned into a
+/// throwaway SessionDict, and the parallel executor at 2 and 8 threads
+/// with the intra-component split forced on. Returns the serial stats.
+FdStats ExpectAllExecutorsMatchOracle(const std::vector<Table>& tables,
+                                      const std::string& label) {
+  auto aligned = AlignByName(tables);
+  EXPECT_TRUE(aligned.ok());
+  auto legacy = FdProblem::Build(tables, *aligned);
+  EXPECT_TRUE(legacy.ok());
+  auto oracle = NaiveFdOracle(*legacy);
+  EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
+  if (!aligned.ok() || !legacy.ok() || !oracle.ok()) return FdStats();
+
+  auto serial = FullDisjunction().Run(&legacy.value());
+  ExpectMatchesOracle(serial, *oracle, label + " serial");
+
+  SessionDict dict;
+  auto interned =
+      FdProblem::BuildInterned(BorrowTables(tables), *aligned, &dict);
+  EXPECT_TRUE(interned.ok());
+  if (interned.ok()) {
+    ExpectMatchesOracle(FullDisjunction().Run(&interned.value()), *oracle,
+                        label + " interned");
+  }
+
+  for (size_t threads : {size_t{2}, size_t{8}}) {
+    auto problem = FdProblem::Build(tables, *aligned);
+    EXPECT_TRUE(problem.ok());
+    if (!problem.ok()) continue;
+    ParallelFdOptions popts;
+    popts.num_threads = threads;
+    popts.fd.intra_component_min_size = 1;  // force the subtree split
+    ExpectMatchesOracle(ParallelFullDisjunction(popts).Run(&problem.value()),
+                        *oracle, label + " t" + std::to_string(threads));
+  }
+  return serial.ok() ? serial->stats : FdStats();
+}
+
+TEST_P(FdOracleProperty, EveryExecutorMatchesOracle) {
   const OracleCase& oc = GetParam();
   Rng rng(oc.seed);
   for (int trial = 0; trial < 15; ++trial) {
-    FdProblem problem = RandomProblem(oc, &rng);
-    FdProblem problem_copy = problem;
-    auto fast = FullDisjunction().Run(&problem);
-    auto oracle = NaiveFdOracle(problem_copy);
-    ASSERT_TRUE(fast.ok());
-    ASSERT_TRUE(oracle.ok());
-    ASSERT_EQ(fast->tuples.size(), oracle->size()) << "trial " << trial;
-    for (size_t i = 0; i < fast->tuples.size(); ++i) {
-      EXPECT_EQ(fast->tuples[i].values, (*oracle)[i].values)
-          << "trial " << trial << " tuple " << i;
-      EXPECT_EQ(fast->tuples[i].tids, (*oracle)[i].tids);
-    }
+    ExpectAllExecutorsMatchOracle(RandomTables(oc, &rng),
+                                  "trial " + std::to_string(trial));
   }
 }
+
+// Hub shapes: 12–18 tuples, 2–4 rows per table, one component.
+const OracleCase kHubCases[] = {
+    {4, 3, 0, 3, 101, true}, {4, 4, 0, 3, 202, true},
+    {5, 3, 0, 4, 303, true}, {6, 3, 0, 3, 404, true},
+    {6, 2, 0, 2, 505, true}, {4, 4, 0, 5, 606, true},
+};
 
 INSTANTIATE_TEST_SUITE_P(
     RandomShapes, FdOracleProperty,
@@ -429,6 +510,66 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(p.num_columns) + "d" +
              std::to_string(p.value_domain);
     });
+
+INSTANTIATE_TEST_SUITE_P(
+    HubShapes, FdOracleProperty, ::testing::ValuesIn(kHubCases),
+    [](const ::testing::TestParamInfo<OracleCase>& info) {
+      const auto& p = info.param;
+      return "hub_t" + std::to_string(p.num_tables) + "r" +
+             std::to_string(p.rows_per_table) + "d" +
+             std::to_string(p.value_domain);
+    });
+
+/// Tuples the serial enumerator seeds: every member of a component that
+/// misses the fast path (one tuple per table and one value per column).
+size_t SeededTuples(const FdProblem& problem) {
+  size_t seeded = 0;
+  for (const auto& comp : problem.Components()) {
+    std::set<uint32_t> tables;
+    std::vector<uint32_t> merged(problem.num_columns(), FdProblem::kNullCode);
+    bool consistent = true;
+    for (uint32_t tid : comp) {
+      tables.insert(problem.table_id(tid));
+      const uint32_t* row = problem.CodeRow(tid);
+      for (size_t c = 0; c < problem.num_columns(); ++c) {
+        if (row[c] == FdProblem::kNullCode) continue;
+        if (merged[c] == FdProblem::kNullCode) merged[c] = row[c];
+        consistent = consistent && merged[c] == row[c];
+      }
+    }
+    if (tables.size() != comp.size() || !consistent) seeded += comp.size();
+  }
+  return seeded;
+}
+
+TEST(FdOracleSeedPaths, HubCorpusTakesBothSeedScans) {
+  // The oracle agreement above would pass vacuously if one seed scan never
+  // ran. Over the same hub corpus, the serial kernel must take the
+  // selective column scan for some seeds and the full posting stream for
+  // others (seeds − selective_seeds). The scan choice must not reshape the
+  // search tree either: the corpus costs exactly the search nodes the
+  // stream-only kernel spent on it.
+  constexpr uint64_t kStreamOnlyKernelNodes = 16585;
+  uint64_t selective = 0;
+  uint64_t streamed = 0;
+  uint64_t nodes = 0;
+  for (const OracleCase& oc : kHubCases) {
+    Rng rng(oc.seed);
+    for (int trial = 0; trial < 15; ++trial) {
+      FdProblem problem = RandomProblem(oc, &rng);
+      auto result = FullDisjunction().Run(&problem);
+      ASSERT_TRUE(result.ok());
+      const size_t seeded = SeededTuples(problem);
+      ASSERT_LE(result->stats.selective_seeds, seeded);
+      selective += result->stats.selective_seeds;
+      streamed += seeded - result->stats.selective_seeds;
+      nodes += result->stats.search_nodes;
+    }
+  }
+  EXPECT_GT(selective, 0u);
+  EXPECT_GT(streamed, 0u);
+  EXPECT_EQ(nodes, kStreamOnlyKernelNodes);
+}
 
 // ------------------------------------------- property: order invariance
 

@@ -478,6 +478,48 @@ TEST(StatsExportTest, FdExtrasMatchTheStatsFields) {
   EXPECT_DOUBLE_EQ(find("pool_tasks"), 5.0);
   EXPECT_DOUBLE_EQ(find("pool_busy_s"), 0.25);
   EXPECT_GT(find("peak_rss_mb"), 0.0);
+
+  // Kernel counters: one extra per kFdKernelCounters entry, read from its
+  // own field (distinct values catch a swapped mapping).
+  stats.posting_visits = 1234;
+  stats.selective_seeds = 56;
+  extras = FdExecutionExtras(stats);
+  EXPECT_DOUBLE_EQ(find("posting_visits"), 1234.0);
+  EXPECT_DOUBLE_EQ(find("selective_seeds"), 56.0);
+  for (const FdKernelCounter& k : kFdKernelCounters) {
+    EXPECT_DOUBLE_EQ(find(k.extra_key), static_cast<double>(stats.*k.field))
+        << k.extra_key;
+  }
+}
+
+TEST(StatsExportTest, KernelCountersReachMetricsUnderTheSharedNames) {
+  // The engine's /metrics counter for each kernel counter is the sum of the
+  // per-request FdStats field, under the metric name the shared table
+  // pairs with the bench key.
+  ImdbBenchmark bench;
+  auto engine = MakeImdbEngine(2, &bench);
+  std::vector<std::string> names;
+  for (const auto& t : bench.tables) names.push_back(t.name());
+  RequestOptions req;
+  req.holistic_alignment = false;
+  auto first = engine->Integrate(names, req);
+  auto second = engine->Integrate(names, req);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_GT(first->report.fd_stats.posting_visits, 0u);
+
+  const MetricsSnapshot snap = engine->MetricsSnapshot();
+  const std::string text = RenderMetricsText(snap);
+  for (const FdKernelCounter& k : kFdKernelCounters) {
+    const MetricSample* sample = snap.Find(k.metric_name);
+    ASSERT_NE(sample, nullptr) << k.metric_name;
+    EXPECT_DOUBLE_EQ(sample->value,
+                     static_cast<double>(first->report.fd_stats.*k.field +
+                                         second->report.fd_stats.*k.field))
+        << k.metric_name;
+    EXPECT_NE(text.find(std::string("# TYPE ") + k.metric_name + " counter"),
+              std::string::npos)
+        << k.metric_name;
+  }
 }
 
 }  // namespace
